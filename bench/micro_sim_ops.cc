@@ -189,7 +189,7 @@ BENCHMARK(BM_NestedTransaction)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ContendedCounter8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ContendedCounter16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EagerContendedCounter8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MachineConstruction)->Arg(1)->Arg(8)->Arg(16)
+BENCHMARK(BM_MachineConstruction)->Arg(1)->Arg(8)->Arg(16)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -231,7 +231,6 @@ StmFuzzInterp::run(StatsRegistry* stats_out)
 {
     StmRuntime rt(cfg);
     attach(rt);
-    rt.armWatchdog();
 
     const int n = prog.numThreads();
     flog.resize(static_cast<size_t>(n));

@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -21,31 +22,71 @@ Cache::Cache(std::string name_, const CacheGeometry& geom_,
     geom.validate(name.c_str());
     if (maxLevels < 1 || maxLevels > 30)
         fatal("%s: max nesting levels must be in [1, 30]", name.c_str());
-    sets.assign(geom.numSets(),
-                std::vector<Line>(static_cast<size_t>(geom.assoc)));
-    std::uint32_t flat = 0;
-    for (auto& set : sets)
-        for (auto& line : set)
-            line.self = flat++;
+    const auto numSets = static_cast<std::size_t>(geom.numSets());
+    lineShift = std::countr_zero(geom.lineBytes);
+    setMask = numSets - 1;
+    lines = std::make_unique_for_overwrite<Line[]>(
+        numSets * static_cast<std::size_t>(geom.assoc));
+    liveSets.assign((numSets + 63) / 64, 0);
 }
 
-std::vector<Cache::Line>&
-Cache::setFor(Addr line_addr)
+namespace {
+
+bool
+testBit(const std::vector<std::uint64_t>& bits, std::size_t i)
 {
-    return sets[static_cast<size_t>(geom.setIndex(line_addr))];
+    return (bits[i / 64] >> (i % 64)) & 1;
 }
 
-const std::vector<Cache::Line>&
-Cache::setFor(Addr line_addr) const
+} // namespace
+
+std::span<Cache::Line>
+Cache::waysOf(Addr line_addr)
 {
-    return sets[static_cast<size_t>(geom.setIndex(line_addr))];
+    const std::size_t set = setOf(line_addr);
+    if (!testBit(liveSets, set))
+        return {};
+    const auto assoc = static_cast<std::size_t>(geom.assoc);
+    return {&lines[set * assoc], assoc};
+}
+
+std::span<const Cache::Line>
+Cache::waysOf(Addr line_addr) const
+{
+    return const_cast<Cache*>(this)->waysOf(line_addr);
+}
+
+std::span<Cache::Line>
+Cache::materialise(Addr line_addr)
+{
+    const std::size_t set = setOf(line_addr);
+    const auto assoc = static_cast<std::size_t>(geom.assoc);
+    const std::span<Line> ways(&lines[set * assoc], assoc);
+    if (!testBit(liveSets, set)) {
+        for (Line& line : ways) {
+            line = Line{.valid = false, .lineAddr = invalidAddr, .lru = 0,
+                        .readMask = 0, .writeMask = 0, .nl = 0,
+                        .txSlot = -1};
+        }
+        liveSets[set / 64] |= std::uint64_t{1} << (set % 64);
+    }
+    return ways;
+}
+
+std::size_t
+Cache::materialisedSets() const
+{
+    std::size_t n = 0;
+    for (std::uint64_t word : liveSets)
+        n += static_cast<std::size_t>(std::popcount(word));
+    return n;
 }
 
 Cache::Line*
 Cache::findLine(Addr line_addr)
 {
     Line* best = nullptr;
-    for (auto& line : setFor(line_addr)) {
+    for (auto& line : waysOf(line_addr)) {
         if (line.valid && line.lineAddr == line_addr) {
             // Associativity scheme: the most recent version has the
             // highest NL field.
@@ -84,7 +125,7 @@ Cache::lookup(Addr line_addr)
 Cache::Line*
 Cache::allocate(Addr line_addr, EvictInfo* evict)
 {
-    auto& ways = setFor(line_addr);
+    const std::span<Line> ways = materialise(line_addr);
     Line* victim = nullptr;
     // Prefer an invalid way, then the LRU non-transactional line, then
     // the LRU line overall (which forces a transactional overflow).
@@ -135,7 +176,7 @@ Cache::fill(Addr line_addr)
 void
 Cache::invalidateNonSpec(Addr line_addr)
 {
-    for (auto& line : setFor(line_addr)) {
+    for (auto& line : waysOf(line_addr)) {
         if (line.valid && line.lineAddr == line_addr && !line.isTx() &&
             line.nl == 0) {
             wipe(line);
@@ -225,7 +266,7 @@ Cache::markWrite(Addr line_addr, int level)
 bool
 Cache::hasTxMeta(Addr line_addr) const
 {
-    for (const auto& line : setFor(line_addr)) {
+    for (const auto& line : waysOf(line_addr)) {
         if (line.valid && line.lineAddr == line_addr && line.isTx())
             return true;
     }
@@ -236,7 +277,7 @@ bool
 Cache::isRead(Addr line_addr, int level) const
 {
     int eff = std::min(level, maxLevels);
-    for (const auto& line : setFor(line_addr)) {
+    for (const auto& line : waysOf(line_addr)) {
         if (!line.valid || line.lineAddr != line_addr)
             continue;
         if (scheme == NestScheme::MultiTracking) {
@@ -253,7 +294,7 @@ bool
 Cache::isWritten(Addr line_addr, int level) const
 {
     int eff = std::min(level, maxLevels);
-    for (const auto& line : setFor(line_addr)) {
+    for (const auto& line : waysOf(line_addr)) {
         if (!line.valid || line.lineAddr != line_addr)
             continue;
         if (scheme == NestScheme::MultiTracking) {
@@ -325,9 +366,8 @@ Cache::mergeLevelDown(int level)
         } else if (line.nl == eff) {
             // Retag to the parent level; merge into an existing
             // parent version if one occupies the same set.
-            auto& set = setFor(line.lineAddr);
             Line* parent = nullptr;
-            for (auto& other : set) {
+            for (auto& other : waysOf(line.lineAddr)) {
                 if (&other != &line && other.valid &&
                     other.lineAddr == line.lineAddr &&
                     other.nl == eff - 1) {
@@ -367,9 +407,8 @@ Cache::commitOpenLevel(int level)
         } else if (line.nl == eff) {
             // Keep the (now committed) data as a plain line unless
             // a plain copy already exists in the set.
-            auto& set = setFor(line.lineAddr);
             Line* plain = nullptr;
-            for (auto& other : set) {
+            for (auto& other : waysOf(line.lineAddr)) {
                 if (&other != &line && other.valid &&
                     other.lineAddr == line.lineAddr && other.nl == 0) {
                     plain = &other;
@@ -420,7 +459,7 @@ int
 Cache::versionCount(Addr line_addr) const
 {
     int count = 0;
-    for (const auto& line : setFor(line_addr))
+    for (const auto& line : waysOf(line_addr))
         if (line.valid && line.lineAddr == line_addr)
             ++count;
     return count;

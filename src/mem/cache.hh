@@ -24,7 +24,8 @@
 #define TMSIM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,22 +112,25 @@ class Cache
      *  (associativity scheme replication; always 0/1 for multi-track). */
     int versionCount(Addr line_addr) const;
 
+    /** Number of sets allocate() has materialised so far. */
+    std::size_t materialisedSets() const;
+
   private:
+    /** One way. No default member initialisers: the line array is
+     *  allocated uninitialised and materialise() writes a set's ways
+     *  on first allocation. */
     struct Line
     {
-        bool valid = false;
-        Addr lineAddr = invalidAddr;
-        std::uint64_t lru = 0;
+        bool valid;
+        Addr lineAddr;
+        std::uint64_t lru;
         // MultiTracking: bit (level-1) set in each mask.
-        std::uint32_t readMask = 0;
-        std::uint32_t writeMask = 0;
+        std::uint32_t readMask;
+        std::uint32_t writeMask;
         // Associativity: nesting level of this version (0 = plain data).
-        int nl = 0;
-        // Flat position of this way (set * assoc + way); fixed at
-        // construction so the tx index can address lines by number.
-        std::uint32_t self = 0;
+        int nl;
         // Position in txLines while annotated, -1 otherwise.
-        std::int32_t txSlot = -1;
+        std::int32_t txSlot;
 
         bool isTx() const { return readMask != 0 || writeMask != 0; }
         bool holdsTxMeta() const
@@ -135,8 +139,21 @@ class Cache
         }
     };
 
-    std::vector<Line>& setFor(Addr line_addr);
-    const std::vector<Line>& setFor(Addr line_addr) const;
+    /** Set index of @p line_addr: a shift and a mask, since line size
+     *  and set count are powers of two (CacheGeometry::validate). */
+    std::size_t
+    setOf(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(line_addr >> lineShift) & setMask;
+    }
+    /** The ways of @p line_addr's set, or an empty span if that set
+     *  was never materialised: a set of invalid ways and no ways at
+     *  all answer every read-only probe the same. */
+    std::span<Line> waysOf(Addr line_addr);
+    std::span<const Line> waysOf(Addr line_addr) const;
+    /** The ways of @p line_addr's set, invalidating them in way order
+     *  first if the set was never materialised. */
+    std::span<Line> materialise(Addr line_addr);
     Line* findLine(Addr line_addr);
     const Line* findLine(Addr line_addr) const;
     /** Associativity scheme: the version visible to @p level. */
@@ -144,11 +161,14 @@ class Cache
     Line* allocate(Addr line_addr, EvictInfo* evict);
     void touch(Line& line) { line.lru = ++lruClock; }
 
-    Line&
-    lineAt(std::uint32_t flat)
+    Line& lineAt(std::uint32_t flat) { return lines[flat]; }
+
+    /** Flat position (set * assoc + way) of @p line, the number the
+     *  tx index stores. */
+    std::uint32_t
+    flatOf(const Line& line) const
     {
-        return sets[flat / static_cast<std::uint32_t>(geom.assoc)]
-                   [flat % static_cast<std::uint32_t>(geom.assoc)];
+        return static_cast<std::uint32_t>(&line - lines.get());
     }
 
     /** Reconcile @p line's membership in the tx-line index with its
@@ -160,7 +180,7 @@ class Cache
         const bool want = line.holdsTxMeta();
         if (want && line.txSlot < 0) {
             line.txSlot = static_cast<std::int32_t>(txLines.size());
-            txLines.push_back(line.self);
+            txLines.push_back(flatOf(line));
         } else if (!want && line.txSlot >= 0) {
             const std::uint32_t moved = txLines.back();
             txLines[static_cast<size_t>(line.txSlot)] = moved;
@@ -170,7 +190,7 @@ class Cache
         }
     }
 
-    /** Invalidate @p line in place, keeping self/txSlot bookkeeping. */
+    /** Invalidate @p line in place, keeping txSlot bookkeeping. */
     void
     wipe(Line& line)
     {
@@ -187,7 +207,13 @@ class Cache
     CacheGeometry geom;
     NestScheme scheme;
     int maxLevels;
-    std::vector<std::vector<Line>> sets;
+    int lineShift;
+    std::size_t setMask;
+    /** numSets * assoc ways, set-major; only materialised sets hold
+     *  initialised lines. */
+    std::unique_ptr<Line[]> lines;
+    /** One bit per set: set s is materialised iff bit s is set. */
+    std::vector<std::uint64_t> liveSets;
     /** Flat indices of every line with holdsTxMeta(); lets commit and
      *  rollback touch only annotated lines instead of the whole cache. */
     std::vector<std::uint32_t> txLines;

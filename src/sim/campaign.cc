@@ -1,6 +1,7 @@
 #include "sim/campaign.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -172,12 +173,16 @@ CampaignPool::run(std::size_t num_jobs, const CampaignOptions& opt,
         return res;
 
     std::vector<JobLog> logs(num_jobs);
+    // Raised by a failing job's fatal() before it throws, or by the
+    // merging thread; workers claim no job once it is set.
+    std::atomic<bool> cancel{false};
     auto makeCtx = [&](LogContext& ctx, std::size_t i) {
         ctx.quiet = opt.quiet;
         ctx.throwOnFatal = true;
         ctx.sink = [&logs, i](const char* level, const std::string& msg) {
             logs[i].lines.emplace_back(level, msg);
         };
+        ctx.onFatal = [&cancel] { cancel.store(true); };
     };
     auto replay = [&](std::size_t i) {
         for (const auto& [level, msg] : logs[i].lines)
@@ -252,7 +257,6 @@ CampaignPool::run(std::size_t num_jobs, const CampaignOptions& opt,
     std::vector<char> done(num_jobs, 0);        // guarded by mu
     std::size_t doneCnt = 0;                    // guarded by mu
     std::map<std::size_t, std::string> errors;  // guarded by mu
-    bool cancel = false;                        // guarded by mu
     int active = workers;                       // guarded by mu
 
     auto workerLoop = [&]() {
@@ -260,7 +264,7 @@ CampaignPool::run(std::size_t num_jobs, const CampaignOptions& opt,
             std::size_t i;
             {
                 std::lock_guard<std::mutex> lk(mu);
-                if (cancel || next >= num_jobs)
+                if (cancel.load() || next >= num_jobs)
                     break;
                 i = next++;
             }
@@ -284,7 +288,7 @@ CampaignPool::run(std::size_t num_jobs, const CampaignOptions& opt,
                 ++doneCnt;
                 if (!ok) {
                     errors.emplace(i, std::move(err));
-                    cancel = true;
+                    cancel.store(true);
                 }
             }
             cv.notify_all();
@@ -335,8 +339,7 @@ CampaignPool::run(std::size_t num_jobs, const CampaignOptions& opt,
             ++res.merged;
             if (!timedReady(i, doneNow)) {
                 res.stopped = true;
-                std::lock_guard<std::mutex> lk(mu);
-                cancel = true;
+                cancel.store(true);
                 break;
             }
         }
@@ -351,10 +354,7 @@ CampaignPool::run(std::size_t num_jobs, const CampaignOptions& opt,
             }
         }
     } catch (...) {
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            cancel = true;
-        }
+        cancel.store(true);
         joinAll();
         throw;
     }

@@ -94,7 +94,10 @@ fatal(const char* fmt, ...)
     va_start(ap, fmt);
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
-    if (currentLogContext().throwOnFatal)
+    const LogContext& ctx = currentLogContext();
+    if (ctx.onFatal)
+        ctx.onFatal();
+    if (ctx.throwOnFatal)
         throw FatalError(s);
     std::fprintf(stderr, "fatal: %s\n", s.c_str());
     std::exit(1);

@@ -60,9 +60,14 @@ class LogContext
     /** Optional capture sink for warn()/inform() (quiet still wins). */
     Sink sink;
 
+    /** Optional hook fatal() calls on the failing thread before it
+     *  throws or exits: a campaign pool raises its cancel flag here,
+     *  so no worker claims another job while the error unwinds. */
+    std::function<void()> onFatal;
+
     /** A context copying the calling thread's current quiet /
-     *  throwOnFatal / sink settings (how Machine picks up a campaign
-     *  worker's configuration at construction time). */
+     *  throwOnFatal / sink / onFatal settings (how Machine picks up a
+     *  campaign worker's configuration at construction time). */
     static LogContext inherit();
 };
 

@@ -54,7 +54,6 @@ StmRuntime::StmRuntime(StmConfig config)
         fatal("stm: memWords and numOrecs must be nonzero");
     for (auto& w : memWords)
         w.store(0, std::memory_order_relaxed);
-    armWatchdog();
 }
 
 Addr
@@ -97,12 +96,6 @@ void
 StmRuntime::write(Addr a, Word v)
 {
     cell(a).store(v, std::memory_order_release);
-}
-
-void
-StmRuntime::armWatchdog()
-{
-    dl = std::chrono::steady_clock::now() + cfg.opTimeout;
 }
 
 StmThreadStats&

@@ -11,7 +11,6 @@
 #define TMSIM_STM_STM_RUNTIME_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -80,10 +79,10 @@ class StmRuntime
         return seqCounter.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** Arm the watchdog: operations that cannot make progress by the
-     *  deadline throw StmHangError. Call before spawning threads. */
-    void armWatchdog();
-    std::chrono::steady_clock::time_point deadline() const { return dl; }
+    /** Nothing to arm: each StmThread measures config().opTimeout from
+     *  its current operation's first retry or spin. Kept callable for
+     *  embedders written against the old per-runtime deadline. */
+    void armWatchdog() {}
 
     /** Word cell accessor for StmThread (bounds-checked). */
     std::atomic<Word>& cell(Addr a);
@@ -103,7 +102,6 @@ class StmRuntime
     GlobalClock versionClock;
     std::atomic<std::uint64_t> seqCounter{0};
     Addr brk = 0;
-    std::chrono::steady_clock::time_point dl;
     std::vector<StmThreadStats> threadStats;
 };
 

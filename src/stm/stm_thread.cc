@@ -14,9 +14,12 @@ StmThread::StmThread(StmRuntime& runtime, int tid)
 }
 
 void
-StmThread::checkDeadline(const char* where) const
+StmThread::checkDeadline(const char* where)
 {
-    if (std::chrono::steady_clock::now() > rt.deadline())
+    const auto now = std::chrono::steady_clock::now();
+    if (opDeadline == std::chrono::steady_clock::time_point{})
+        opDeadline = now + rt.config().opTimeout;
+    else if (now > opDeadline)
         throw StmHangError{std::string("stm watchdog expired: ") + where};
 }
 
@@ -263,6 +266,7 @@ StmThread::xabort(Word code)
         h.commitFn(*this, h.args);
     }
     rollbackTo(target);
+    endOp();
     throw StmAbortSignal{target, code};
 }
 
@@ -427,6 +431,7 @@ StmThread::xcommit()
     vh.resize(lv.vhSave);
     ah.resize(lv.ahSave);
     levels.pop_back();
+    endOp();
 }
 
 void
@@ -591,6 +596,7 @@ StmThread::nakedLoad(Addr a)
 {
     const auto [v, ver] = consistentRead(a);
     ++st.nakedLoads;
+    endOp();
     return {v, StmCommitInfo{ver, 1, rt.nextSeq()}};
 }
 
@@ -613,6 +619,7 @@ StmThread::nakedStore(Addr a, Word v)
     rt.cell(a).store(v, std::memory_order_release);
     o.store(wv, std::memory_order_release);
     ++st.nakedStores;
+    endOp();
     return StmCommitInfo{wv, 0, rt.nextSeq()};
 }
 

@@ -18,6 +18,7 @@
 #ifndef TMSIM_STM_STM_THREAD_HH
 #define TMSIM_STM_STM_THREAD_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -236,7 +237,19 @@ class StmThread
 
     void releaseLocks(Level& lv);
     void spinOrHang(int& tries, const char* where);
-    void checkDeadline(const char* where) const;
+    /** Throw StmHangError once the current operation has spent
+     *  config().opTimeout since its first check. */
+    void checkDeadline(const char* where);
+
+    /** An operation (outermost transaction or naked access) finished:
+     *  the next one measures its own deadline. A plain store, so the
+     *  commit path reads no clock. */
+    void
+    endOp()
+    {
+        if (levels.empty())
+            opDeadline = {};
+    }
 
     StmRuntime& rt;
     int tidVal;
@@ -250,6 +263,9 @@ class StmThread
     StmCommitInfo lastCommitInfo;
     StmThreadStats& st;
     Rng threadRng;
+    /** Watchdog deadline of the current operation, taken at its first
+     *  retry or spin; the epoch while it has needed neither. */
+    std::chrono::steady_clock::time_point opDeadline{};
 };
 
 } // namespace tmsim

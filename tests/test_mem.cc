@@ -1,19 +1,22 @@
 /**
  * @file
  * Memory-system unit tests: backing store, cache geometry, cache
- * presence/LRU/eviction, the transactional line annotations of both
- * nesting schemes, bus arbitration/occupancy, and FIFO resources.
+ * presence/LRU/eviction, lazily materialised cache sets, the
+ * transactional line annotations of both nesting schemes, bus
+ * arbitration/occupancy, and FIFO resources.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "mem/backing_store.hh"
 #include "mem/bus.hh"
 #include "mem/cache.hh"
 #include "sim/logging.hh"
 #include "sim/task.hh"
+#include "workloads/harness.hh"
 
 using namespace tmsim;
 
@@ -336,6 +339,157 @@ TEST(Cache, InvalidateNonSpecLeavesTxLines)
     c.invalidateNonSpec(0x140);
     EXPECT_FALSE(c.contains(0x100));
     EXPECT_TRUE(c.contains(0x140)); // speculative copies are immune
+}
+
+TEST(Cache, ProbesOfUntouchedSetsAreEmptyAndMaterialiseNothing)
+{
+    StatsRegistry stats;
+    Cache c = makeCache(NestScheme::Associativity, stats, 4, 32 * 1024);
+    EXPECT_EQ(c.materialisedSets(), 0u);
+    for (Addr a = 0; a < 32 * 1024; a += 32 * 8) {
+        EXPECT_FALSE(c.contains(a));
+        EXPECT_FALSE(c.lookup(a));
+        EXPECT_FALSE(c.hasTxMeta(a));
+        EXPECT_FALSE(c.isRead(a, 1));
+        EXPECT_FALSE(c.isWritten(a, 1));
+        EXPECT_EQ(c.versionCount(a), 0);
+        c.invalidateNonSpec(a);
+    }
+    c.clearLevel(1);
+    c.mergeLevelDown(2);
+    c.commitOpenLevel(1);
+    c.clearAllTx();
+    EXPECT_EQ(c.materialisedSets(), 0u);
+    EXPECT_EQ(c.txLineCount(), 0u);
+    EXPECT_EQ(stats.value("test.misses"), 128u);
+
+    // Only allocation materialises, and only the line's own set.
+    c.fill(0x100);
+    EXPECT_EQ(c.materialisedSets(), 1u);
+    EXPECT_TRUE(c.contains(0x100));
+    EXPECT_FALSE(c.contains(0x100 + 32)); // next set: still empty
+    c.markWrite(0x100 + 32, 1);
+    EXPECT_EQ(c.materialisedSets(), 2u);
+}
+
+TEST(Cache, VictimOrderIndependentOfWhatMaterialisedTheSet)
+{
+    // 4-way, 8 sets: addresses 32*8 apart share a set. Whichever
+    // operation first touches the set, the later fills must pick the
+    // same victims in the same order.
+    const Addr stride = 32 * 8;
+    auto victims = [&](int first) {
+        StatsRegistry stats;
+        Cache c = makeCache(NestScheme::MultiTracking, stats, 4);
+        if (first == 0)
+            c.fill(0);
+        else if (first == 1)
+            c.markRead(0, 1);
+        else
+            c.markWrite(0, 1);
+        c.clearLevel(1); // back to a plain line whatever marked it
+        for (Addr k = 1; k < 4; ++k)
+            c.fill(k * stride);
+        c.lookup(0); // line 0 becomes MRU
+        std::vector<Addr> out;
+        for (Addr k = 4; k < 8; ++k)
+            out.push_back(c.fill(k * stride).lineAddr);
+        EXPECT_EQ(c.materialisedSets(), 1u);
+        return out;
+    };
+    const std::vector<Addr> expect{stride, 2 * stride, 3 * stride, 0};
+    EXPECT_EQ(victims(0), expect);
+    EXPECT_EQ(victims(1), expect);
+    EXPECT_EQ(victims(2), expect);
+}
+
+TEST(Cache, AssociativityReplicatesIntoAFreshSet)
+{
+    StatsRegistry stats;
+    Cache c = makeCache(NestScheme::Associativity, stats, 2);
+    c.markRead(0x100, 1); // materialises the set: version NL=1
+    c.markWrite(0x100, 2); // replica in the set's other way
+    EXPECT_EQ(c.materialisedSets(), 1u);
+    EXPECT_EQ(c.versionCount(0x100), 2);
+    EXPECT_EQ(stats.value("test.version_replications"), 1u);
+    EXPECT_TRUE(c.isRead(0x100, 1));
+    EXPECT_FALSE(c.isWritten(0x100, 1));
+    EXPECT_TRUE(c.isWritten(0x100, 2));
+    EXPECT_EQ(c.txLineCount(), 2u);
+    EXPECT_EQ(stats.value("test.evictions"), 0u);
+
+    // A third version has no free way: it displaces the LRU version.
+    c.markWrite(0x100, 3);
+    EXPECT_EQ(stats.value("test.version_replications"), 2u);
+    EXPECT_EQ(stats.value("test.tx_overflows"), 1u);
+    EXPECT_EQ(c.versionCount(0x100), 2);
+    EXPECT_FALSE(c.isRead(0x100, 1));
+}
+
+TEST(Cache, GangOperationsSpanSeveralMaterialisedSets)
+{
+    // 1024B / 32B / 2-way = 16 sets: these lines fall in sets 0, 1, 5.
+    const Addr lines[] = {0x000, 0x020, 0x0a0};
+    {
+        StatsRegistry stats;
+        Cache c = makeCache(NestScheme::MultiTracking, stats);
+        for (Addr a : lines) {
+            c.markRead(a, 1);
+            c.markWrite(a, 2);
+        }
+        EXPECT_EQ(c.materialisedSets(), 3u);
+        c.mergeLevelDown(2);
+        for (Addr a : lines) {
+            EXPECT_TRUE(c.isWritten(a, 1));
+            EXPECT_FALSE(c.isWritten(a, 2));
+        }
+        c.markWrite(lines[1], 2);
+        c.commitOpenLevel(2);
+        c.clearLevel(1);
+        for (Addr a : lines) {
+            EXPECT_FALSE(c.hasTxMeta(a));
+            EXPECT_TRUE(c.contains(a));
+        }
+        EXPECT_EQ(c.txLineCount(), 0u);
+    }
+    {
+        StatsRegistry stats;
+        Cache c = makeCache(NestScheme::Associativity, stats);
+        c.markRead(lines[2], 2);
+        c.commitOpenLevel(2); // keeps the data as a plain line
+        EXPECT_EQ(c.versionCount(lines[2]), 1);
+        EXPECT_FALSE(c.hasTxMeta(lines[2]));
+        c.markWrite(lines[0], 1);
+        c.markWrite(lines[0], 2); // merges into the NL=1 version
+        c.markWrite(lines[1], 2); // retags to NL=1
+        EXPECT_EQ(c.txLineCount(), 3u);
+        c.mergeLevelDown(2);
+        EXPECT_EQ(c.versionCount(lines[0]), 1);
+        EXPECT_TRUE(c.isWritten(lines[0], 1));
+        EXPECT_TRUE(c.isWritten(lines[1], 1));
+        EXPECT_EQ(c.txLineCount(), 2u);
+        // Rollback discards both dirty versions, in both sets.
+        c.clearLevel(1);
+        EXPECT_FALSE(c.contains(lines[0]));
+        EXPECT_FALSE(c.contains(lines[1]));
+        EXPECT_TRUE(c.contains(lines[2]));
+        EXPECT_EQ(c.txLineCount(), 0u);
+        EXPECT_EQ(c.materialisedSets(), 3u);
+    }
+}
+
+TEST(Cache, Machine128CpusBuildsAndRunsAKernel)
+{
+    // 128 private L1/L2 pairs: cheap to build because no set is
+    // materialised until a CPU touches it.
+    defaultLogContext().quiet = true;
+    auto kernel = makeNamedKernel("swim");
+    ASSERT_TRUE(kernel);
+    const RunResult r = runKernel(*kernel, HtmConfig::paperLazy(), 128,
+                                  8ull * 1024 * 1024);
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.threads, 128);
+    EXPECT_GT(r.commits, 0u);
 }
 
 TEST(FifoResource, GrantsInOrder)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -38,7 +39,6 @@ struct StmFixture
     {
         for (int i = 0; i < 64; ++i)
             rt.write(addr(i), 100 + static_cast<Word>(i));
-        rt.armWatchdog();
     }
 
     Addr addr(int slot) const
@@ -407,13 +407,94 @@ TEST(Stm, WatchdogBreaksOutOfAStuckLock)
     cfg.opTimeout = std::chrono::milliseconds(50);
     StmRuntime rt(cfg);
     const Addr a = rt.allocate(wordBytes);
-    rt.armWatchdog();
 
     // Simulate a crashed owner: lock the orec and never release it.
     rt.orecs().of(a).store(orecLockedBy(5), std::memory_order_release);
 
     StmThread t(rt, 0);
     EXPECT_THROW((void)t.nakedStore(a, 1), StmHangError);
+}
+
+TEST(Stm, WatchdogCatchesATransactionThatRetriesForever)
+{
+    StmConfig cfg;
+    cfg.opTimeout = std::chrono::milliseconds(50);
+    StmRuntime rt(cfg);
+    const Addr a = rt.allocate(wordBytes);
+    const Addr b = rt.allocate(wordBytes);
+
+    // Every attempt bumps the version of a word it read, so commit
+    // validation always fails: the retries belong to one operation and
+    // its deadline must not restart with each attempt.
+    StmThread t(rt, 0);
+    EXPECT_THROW((void)t.atomic([&](StmThread& th) {
+                     (void)th.txLoad(a);
+                     (void)th.nakedStore(a, 1);
+                     th.txStore(b, 2);
+                 }),
+                 StmHangError);
+}
+
+TEST(Stm, WatchdogDeadlineStartsAtTheOperationsFirstRetry)
+{
+    StmConfig cfg;
+    cfg.opTimeout = std::chrono::milliseconds(50);
+    StmRuntime rt(cfg);
+    const Addr a = rt.allocate(wordBytes);
+    const Addr b = rt.allocate(wordBytes);
+
+    // Retry once, long after the runtime was built: the operation has
+    // used none of its budget, so it must not throw.
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    StmThread t(rt, 0);
+    int attempts = 0;
+    const StmTxOutcome o = t.atomic([&](StmThread& th) {
+        (void)th.txLoad(a);
+        if (attempts++ == 0)
+            (void)th.nakedStore(a, 1); // fail the first validation
+        th.txStore(b, 2);
+    });
+    EXPECT_TRUE(o.committed());
+    EXPECT_EQ(o.retries, 1);
+}
+
+TEST(Stm, WatchdogDeadlineIsPerOperationNotPerRuntime)
+{
+    // Contended increments for four times the operation budget: each
+    // operation finishes well inside 50 ms, so none may throw however
+    // long after the runtime was built its retries come.
+    StmConfig cfg;
+    cfg.opTimeout = std::chrono::milliseconds(50);
+    StmRuntime rt(cfg);
+    const Addr a = rt.allocate(wordBytes);
+
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    constexpr int T = 2;
+    std::atomic<int> commits{0};
+    std::vector<std::string> errs(T);
+    std::vector<std::thread> hosts;
+    for (int tid = 0; tid < T; ++tid) {
+        hosts.emplace_back([&, tid] {
+            StmThread t(rt, tid);
+            try {
+                while (Clock::now() - start <
+                       std::chrono::milliseconds(200)) {
+                    t.atomic([&](StmThread& th) {
+                        th.txStore(a, th.txLoad(a) + 1);
+                    });
+                    commits.fetch_add(1, std::memory_order_relaxed);
+                }
+            } catch (const StmHangError& e) {
+                errs[static_cast<size_t>(tid)] = e.what;
+            }
+        });
+    }
+    for (std::thread& h : hosts)
+        h.join();
+    for (const std::string& e : errs)
+        EXPECT_EQ(e, "");
+    EXPECT_EQ(rt.read(a), static_cast<Word>(commits.load()));
 }
 
 TEST(Stm, ShardedWarehousesWithOpenHandoffUnderRealThreads)
@@ -430,7 +511,6 @@ TEST(Stm, ShardedWarehousesWithOpenHandoffUnderRealThreads)
     constexpr int totalOps = T * opsPerThread;
 
     StmRuntime rt;
-    rt.armWatchdog();
     struct Shard
     {
         Addr localCtr;  // closed-nested order-id counter
